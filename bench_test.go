@@ -306,17 +306,29 @@ var simModes = []struct {
 	{"serial-unfused", qsim.Parallelism{Workers: 1, DisableFusion: true}},
 }
 
+// runsSerialProgram reports whether an exact (noiseless, terminal-
+// measure) run at n qubits under p executes the same program as the
+// serial default, so its row could only re-measure serial: the exact
+// path skips fusion below 11 qubits and keeps kernels serial below
+// 2^14 amplitudes (qsim's exactFuseMinQubits and kernelMinAmps).
+func runsSerialProgram(n int, p qsim.Parallelism) bool {
+	return (n < 11 && (p.DisableFusion || p.DisableFusion2Q)) || (n < 14 && p.Workers > 1)
+}
+
 // BenchmarkStatevectorScaling measures the dense simulator's gate
 // throughput across register widths (the substrate cost behind the
-// Fig 7 fidelity experiments). Each width runs serial, 4-worker-kernel
-// and unfused variants; widths below the sharding threshold (14q) are
-// serial either way, while 16q+ records the kernel-pool speedup.
+// Fig 7 fidelity experiments). Each width runs the serial, 4-worker-
+// kernel and unfused variants that can differ there: 8q runs serial
+// only, 12q adds unfused, and 16q+ records the kernel-pool speedup.
 // Counts are bit-identical between the variants.
 func BenchmarkStatevectorScaling(b *testing.B) {
 	for _, n := range []int{8, 12, 16, 20, 22} {
 		n := n
 		for _, mode := range simModes {
 			mode := mode
+			if runsSerialProgram(n, mode.par) {
+				continue
+			}
 			b.Run(fmt.Sprintf("%dq/%s", n, mode.name), func(b *testing.B) {
 				circ := gens.QFTBench(n)
 				r := rand.New(rand.NewSource(1))

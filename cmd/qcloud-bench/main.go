@@ -181,6 +181,15 @@ var simModes = []struct {
 	{"serial-unfused", qsim.Parallelism{Workers: 1, DisableFusion: true}},
 }
 
+// runsSerialProgram reports whether an exact (noiseless, terminal-
+// measure) run at n qubits under p executes the same program as the
+// serial default, so its row could only re-measure serial: the exact
+// path skips fusion below 11 qubits and keeps kernels serial below
+// 2^14 amplitudes (qsim's exactFuseMinQubits and kernelMinAmps).
+func runsSerialProgram(n int, p qsim.Parallelism) bool {
+	return (n < 11 && (p.DisableFusion || p.DisableFusion2Q)) || (n < 14 && p.Workers > 1)
+}
+
 // fig7Jobs compiles the Fig 7 fidelity workload (the n-qubit QFT POS
 // benchmark on the paper's five machines) into simulator-ready batch
 // jobs, replicated reps times with distinct seeds so the sweep has the
@@ -223,7 +232,8 @@ func run(iters, maxWidth, shots, journalJobs, tenantJobs int) (*Report, error) {
 		return nil
 	}
 
-	// Statevector scaling: exact QFT evolution across register widths.
+	// Statevector scaling: exact QFT evolution across register widths,
+	// recording only the variants that can differ at each width.
 	for _, n := range []int{8, 12, 16, 20, 22} {
 		if n > maxWidth {
 			continue
@@ -231,6 +241,9 @@ func run(iters, maxWidth, shots, journalJobs, tenantJobs int) (*Report, error) {
 		circ := gens.QFTBench(n)
 		for _, mode := range simModes {
 			mode := mode
+			if runsSerialProgram(n, mode.par) {
+				continue
+			}
 			r := rand.New(rand.NewSource(1))
 			name := fmt.Sprintf("StatevectorScaling/%dq/%s", n, mode.name)
 			err := add(measure(name, iters, func() error {

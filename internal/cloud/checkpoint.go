@@ -12,15 +12,9 @@ import (
 
 // checkpointVersion is the snapshot payload version; bump it whenever
 // MachineCheckpoint's layout or semantics change so stale snapshots
-// are rejected instead of silently misread. Version 2 adds the CRC32C
-// snapshot footer and the Journal* resume fields; version 3 adds the
-// cancel-reason classification on pending withdrawals. Older files are
-// still readable (missing fields decode as zero / unclassified).
+// are rejected instead of silently misread. ReadCheckpoint accepts
+// this version only.
 const checkpointVersion byte = 3
-
-// checkpointOldestReadable is the oldest envelope version
-// ReadCheckpoint still accepts.
-const checkpointOldestReadable byte = 1
 
 // Checkpoint is a complete, restorable snapshot of an open session:
 // every machine's queue heap, arrival-stream cursors, fair-share
@@ -130,8 +124,7 @@ type RetryCheckpoint struct {
 }
 
 // SpecCancelCheckpoint marks a queued spec withdrawn at At. Reason is
-// the cancel classification carried onto the eventual terminal event
-// (empty in pre-v3 snapshots, which restore as unclassified cancels).
+// the cancel classification carried onto the eventual terminal event.
 type SpecCancelCheckpoint struct {
 	SpecIdx int
 	At      float64
@@ -422,12 +415,8 @@ func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 // format versions.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	ck := &Checkpoint{}
-	v, err := trace.ReadSnapshot(r, ck)
-	if err != nil {
+	if err := trace.ReadSnapshot(r, checkpointVersion, ck); err != nil {
 		return nil, err
-	}
-	if v < checkpointOldestReadable || v > checkpointVersion {
-		return nil, fmt.Errorf("cloud: checkpoint version %d not supported (want %d..%d)", v, checkpointOldestReadable, checkpointVersion)
 	}
 	return ck, nil
 }

@@ -46,13 +46,11 @@ type JournalConfig struct {
 	SyncEvery    int
 
 	// Test hooks (white-box): kill the session deterministically after
-	// N journal appends, cap write retries, intercept segment file
-	// opens with a faulty writer, or write the input log in the legacy
-	// gob framing (to pin that old journals stay recoverable).
+	// N journal appends, cap write retries, or intercept segment file
+	// opens with a faulty writer.
 	killAfterRecords int64
 	retryAppends     int
 	openFile         func(path string) (journal.File, error)
-	legacyGobSubmits bool
 }
 
 func (jc *JournalConfig) withDefaults() *JournalConfig {
@@ -74,10 +72,10 @@ func (jc *JournalConfig) options() journal.Options {
 
 // Journal record types: the first payload byte of every frame.
 const (
-	jrecJob     byte = 1 // machine stream: one trace.Job (binary codec)
-	jrecStats   byte = 2 // machine stream: the machine's final MachineStats (gob)
-	jrecEnd     byte = 3 // machine stream: seal marker — the run completed
-	jrecSubmit  byte = 4 // input log: one accepted study submission (legacy gob)
+	jrecJob   byte = 1 // machine stream: one trace.Job (binary codec)
+	jrecStats byte = 2 // machine stream: the machine's final MachineStats (gob)
+	jrecEnd   byte = 3 // machine stream: seal marker — the run completed
+	// 4 was the retired gob-framed submission; Recover rejects it.
 	jrecSubmit2 byte = 5 // input log: one accepted study submission (binary codec)
 )
 
@@ -215,19 +213,8 @@ func (jr *sessionJournal) appendSubmit(ms *machineSim, spec *JobSpec) error {
 	if err := jr.haltErr(); err != nil {
 		return err
 	}
-	if jr.jc.legacyGobSubmits {
-		// Legacy framing, kept behind a test hook so the read path's
-		// old-format support stays exercised.
-		var buf bytes.Buffer
-		buf.WriteByte(jrecSubmit)
-		if err := gob.NewEncoder(&buf).Encode(journalSubmit{Machine: ms.m.Name, SubmitSeq: ms.submitSeq, Spec: *spec}); err != nil {
-			return fmt.Errorf("cloud: encode submit record: %w", err)
-		}
-		jr.append(jr.submits, buf.Bytes())
-	} else {
-		jr.subBuf = appendSubmitRecord(jr.subBuf[:0], ms.m.Name, ms.submitSeq, spec)
-		jr.append(jr.submits, jr.subBuf)
-	}
+	jr.subBuf = appendSubmitRecord(jr.subBuf[:0], ms.m.Name, ms.submitSeq, spec)
+	jr.append(jr.submits, jr.subBuf)
 	if err := jr.haltErr(); err != nil {
 		return err
 	}
@@ -384,7 +371,7 @@ func (s *Session) HeldTraceEntries() int {
 // fleet at the checkpoint cadence, finalizing, and sealing every
 // stream — without materializing the trace in memory. This is the
 // constant-memory path for million-job sessions: consume events
-// through Observe/ObserveBuffered while it runs, and read the trace
+// through Observe while it runs, and read the trace
 // back later with ReadJournalTrace if needed. The session is closed
 // when it returns.
 func (s *Session) DrainJournal() (JournalStats, error) {
@@ -544,23 +531,12 @@ func Recover(cfg Config) (*Session, error) {
 		if rec < from {
 			return nil
 		}
-		var js journalSubmit
-		switch {
-		case len(payload) == 0:
+		if len(payload) == 0 || payload[0] != jrecSubmit2 {
 			return fmt.Errorf("cloud: input log record %d is not a submission", rec)
-		case payload[0] == jrecSubmit2:
-			var err error
-			if js, err = decodeSubmitRecord(payload[1:]); err != nil {
-				return fmt.Errorf("cloud: decode input log record %d: %w", rec, err)
-			}
-		case payload[0] == jrecSubmit:
-			// Legacy gob framing, kept readable so pre-existing journal
-			// directories recover unchanged.
-			if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&js); err != nil {
-				return fmt.Errorf("cloud: decode input log record %d: %w", rec, err)
-			}
-		default:
-			return fmt.Errorf("cloud: input log record %d is not a submission", rec)
+		}
+		js, err := decodeSubmitRecord(payload[1:])
+		if err != nil {
+			return fmt.Errorf("cloud: decode input log record %d: %w", rec, err)
 		}
 		ms := s.byName[js.Machine]
 		if ms == nil {

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -427,9 +428,11 @@ func TestCheckpointFileBitFlipRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1StillReadable: pre-checksum (version-1) checkpoint
-// files remain loadable after the format bump.
-func TestCheckpointV1StillReadable(t *testing.T) {
+// TestCheckpointOldVersionRejected: ReadCheckpoint reads only the
+// current checkpointVersion. A version-1 file (gob payload, no CRC
+// footer) and a version-2 file (footer, pre-v3 layout) are errors,
+// never a panic or a silently misread snapshot.
+func TestCheckpointOldVersionRejected(t *testing.T) {
 	cfg := jtConfig(3, 1)
 	s, err := Open(cfg)
 	if err != nil {
@@ -441,15 +444,21 @@ func TestCheckpointV1StillReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteSnapshot(&buf, 1, ck); err != nil {
+	v1 := bytes.NewBufferString("QCSN\x01")
+	if err := gob.NewEncoder(v1).Encode(ck); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var v2 bytes.Buffer
+	if err := trace.WriteSnapshot(&v2, 2, ck); err != nil {
 		t.Fatal(err)
 	}
-	if got.Seed != ck.Seed || len(got.Machines) != len(ck.Machines) {
-		t.Fatalf("v1 checkpoint decoded wrong: seed %d, %d machines", got.Seed, len(got.Machines))
+	for i, data := range [][]byte{v1.Bytes(), v2.Bytes()} {
+		got, err := ReadCheckpoint(bytes.NewReader(data))
+		if err == nil || got != nil {
+			t.Fatalf("v%d checkpoint accepted (err %v)", i+1, err)
+		}
+		if !strings.Contains(err.Error(), "version") {
+			t.Fatalf("v%d checkpoint: error %q does not name the version", i+1, err)
+		}
 	}
 }

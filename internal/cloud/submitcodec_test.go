@@ -2,8 +2,13 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"qcloud/internal/journal"
 )
 
 func submitCodecSpecs() []journalSubmit {
@@ -57,30 +62,50 @@ func TestSubmitRecordMalformed(t *testing.T) {
 	}
 }
 
-// TestJournalLegacyGobSubmitsRecoverable pins old-format support: a
-// journal whose input log was written with the original per-record gob
-// framing recovers to the same byte-identical trace.
-func TestJournalLegacyGobSubmitsRecoverable(t *testing.T) {
-	golden := jtGolden(t, 1)
-
+// TestJournalGobSubmitRecordRejected: the input log's retired
+// gob-framed record type (4) is no longer read. A journal holding one
+// fails recovery with an error instead of a panic or a misread.
+func TestJournalGobSubmitRecordRejected(t *testing.T) {
 	cfg := jtConfig(3, 1)
 	cfg.Journal = &JournalConfig{
 		Dir:              t.TempDir(),
 		CheckpointEvery:  36 * time.Hour,
-		legacyGobSubmits: true,
 		killAfterRecords: 120,
 	}
 	specs := jtSpecs()
 	if _, killed := runJournaled(t, cfg, specs); !killed {
 		t.Fatal("kill hook did not fire; raise the spec count or lower killAfterRecords")
 	}
-	// Recovery replays the gob-framed input log; the resumed session
-	// appends new submissions in the binary framing, so the recovered
-	// log is mixed-format — exactly what an upgraded deployment sees.
 	cfg.Journal.killAfterRecords = 0
-	cfg.Journal.legacyGobSubmits = false
-	tr := recoverAndFinish(t, cfg, specs)
-	if got := jtJSON(t, tr); !bytes.Equal(got, golden) {
-		t.Fatal("trace recovered from legacy gob input log differs from the uninterrupted run")
+
+	// Append one record in the old framing: type byte 4, then a gob
+	// stream of the submission.
+	dir := submitStreamDir(cfg.Journal.Dir)
+	scan, err := journal.Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := journal.OpenAt(dir, scan.Records, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := bytes.NewBuffer([]byte{4})
+	if err := gob.NewEncoder(rec).Encode(journalSubmit{Machine: "ibmq_athens", Spec: *specs[0]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(rec.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Recover(cfg)
+	if err == nil {
+		s.Close()
+		t.Fatal("recovery accepted a gob-framed submit record")
+	}
+	if want := fmt.Sprintf("input log record %d is not a submission", scan.Records); !strings.Contains(err.Error(), want) {
+		t.Fatalf("recovery error %q, want it to contain %q", err, want)
 	}
 }

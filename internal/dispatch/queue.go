@@ -13,11 +13,10 @@
 package dispatch
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -26,6 +25,7 @@ import (
 	"qcloud/internal/cloud"
 	"qcloud/internal/dispatch/wire"
 	"qcloud/internal/journal"
+	"qcloud/internal/trace"
 )
 
 // TaskState is one queue entry's lifecycle state.
@@ -161,14 +161,12 @@ type Queue struct {
 // proceed if a stream's surviving valid prefix is shorter than the
 // watermark — that is media damage or tampering, not a crash tail, and
 // silently replaying less than was acked would un-happen
-// acknowledged work.
+// acknowledged work. It is stored as a trace snapshot ("QCSN" magic,
+// CRC32C footer) whose version byte is wire.Version.
 type checkpoint struct {
-	V          int   `json:"v"`
-	SubmitRecs int64 `json:"submit_recs"`
-	ResultRecs int64 `json:"result_recs"`
+	SubmitRecs int64
+	ResultRecs int64
 }
-
-var ckptMagic = []byte("QDC1")
 
 const (
 	submitsDirName = "submits"
@@ -677,7 +675,7 @@ func (q *Queue) noteCompletionLocked() {
 // checkpoint only weakens future damage detection, never correctness).
 func (q *Queue) writeCheckpointLocked() {
 	q.sinceCkpt = 0
-	ck := checkpoint{V: wire.Version, SubmitRecs: q.submits.Records(), ResultRecs: q.results.Records()}
+	ck := checkpoint{SubmitRecs: q.submits.Records(), ResultRecs: q.results.Records()}
 	_ = writeCheckpointFile(filepath.Join(q.cfg.Dir, ckptName), ck)
 }
 
@@ -704,30 +702,25 @@ func (q *Queue) Close() error {
 
 // --- checkpoint file framing ---------------------------------------------
 
-// writeCheckpointFile frames the checkpoint as magic · u32le len ·
-// u32le CRC32C(payload) · payload, written to a temp file and renamed
-// into place so a crash never leaves a half-written checkpoint.
+// writeCheckpointFile writes the checkpoint snapshot to a temp file and
+// renames it into place, so a crash never leaves a half-written
+// checkpoint.
 func writeCheckpointFile(path string, ck checkpoint) error {
-	payload, err := json.Marshal(ck)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := trace.WriteSnapshot(&buf, wire.Version, ck); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, len(ckptMagic)+8+len(payload))
-	buf = append(buf, ckptMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	buf = append(buf, payload...)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
 }
 
 // readCheckpoint loads the watermark file. A missing file is nil (no
-// watermark to enforce); a torn or corrupt file is likewise nil — the
-// checkpoint is an extra guard, and a file that died mid-rename must
-// not block an otherwise clean recovery.
+// watermark to enforce); a torn, corrupt or other-version file is
+// likewise nil — the checkpoint is an extra guard, and a file that died
+// mid-rename must not block an otherwise clean recovery.
 func readCheckpoint(path string) (*checkpoint, error) {
 	buf, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -736,20 +729,8 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < len(ckptMagic)+8 || string(buf[:len(ckptMagic)]) != string(ckptMagic) {
-		return nil, nil
-	}
-	n := binary.LittleEndian.Uint32(buf[len(ckptMagic):])
-	crc := binary.LittleEndian.Uint32(buf[len(ckptMagic)+4:])
-	payload := buf[len(ckptMagic)+8:]
-	if uint32(len(payload)) != n || crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)) != crc {
-		return nil, nil
-	}
 	var ck checkpoint
-	if err := json.Unmarshal(payload, &ck); err != nil {
-		return nil, nil
-	}
-	if ck.V != wire.Version {
+	if trace.ReadSnapshot(bytes.NewReader(buf), wire.Version, &ck) != nil {
 		return nil, nil
 	}
 	return &ck, nil

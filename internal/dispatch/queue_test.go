@@ -1,8 +1,10 @@
 package dispatch
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,8 +274,66 @@ func TestQueueWatermarkViolationRefusesRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := OpenQueue(QueueConfig{Dir: dir, Seed: 11}); err == nil {
+	_, err = OpenQueue(QueueConfig{Dir: dir, Seed: 11})
+	if err == nil {
 		t.Fatal("recovery succeeded despite completion log loss")
+	}
+	if !strings.Contains(err.Error(), "checkpoint pins 1") {
+		t.Fatalf("recovery refused for another reason: %v", err)
+	}
+}
+
+// TestQueueDamagedWatermarkIgnored: the watermark is an extra guard, so
+// a truncated, bit-flipped or wrong-magic checkpoint file counts as
+// no watermark and never blocks OpenQueue.
+func TestQueueDamagedWatermarkIgnored(t *testing.T) {
+	plans := testPlans(t, 3, 10)
+	dir := t.TempDir()
+	q := openTestQueue(t, dir, nil, nil)
+	for i, p := range plans[:3] {
+		if _, _, err := q.Submit(key(t, i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ckptName)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck, err := readCheckpoint(path); err != nil || ck == nil || ck.SubmitRecs != 3 || ck.ResultRecs != 0 {
+		t.Fatalf("watermark = %+v, %v; want 3 submits, 0 results", ck, err)
+	}
+
+	damaged := [][]byte{
+		good[:len(good)/2],
+		good[:len(good)-1],
+		append([]byte("NOPE"), good[4:]...),
+	}
+	for pos := range good {
+		flipped := bytes.Clone(good)
+		flipped[pos] ^= 0x10
+		damaged = append(damaged, flipped)
+	}
+	for i, bad := range damaged {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if ck, err := readCheckpoint(path); err != nil || ck != nil {
+			t.Fatalf("damaged watermark %d read as %+v, %v", i, ck, err)
+		}
+		r, err := OpenQueue(QueueConfig{Dir: dir, Seed: 11})
+		if err != nil {
+			t.Fatalf("damaged watermark %d blocked recovery: %v", i, err)
+		}
+		if st := r.Stats(); st.Jobs != 3 {
+			t.Fatalf("damaged watermark %d: recovered stats = %+v", i, st)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

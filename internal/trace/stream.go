@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -25,11 +26,11 @@ const jobWireVersion byte = 1
 func AppendJob(buf []byte, j *Job) []byte {
 	buf = append(buf, jobWireVersion)
 	buf = binary.AppendVarint(buf, j.ID)
-	buf = appendString(buf, j.User)
-	buf = appendString(buf, j.Machine)
+	buf = AppendString(buf, j.User)
+	buf = AppendString(buf, j.Machine)
 	buf = binary.AppendVarint(buf, int64(j.MachineQubits))
-	buf = appendBool(buf, j.Public)
-	buf = appendString(buf, j.CircuitName)
+	buf = AppendBool(buf, j.Public)
+	buf = AppendString(buf, j.CircuitName)
 	buf = binary.AppendVarint(buf, int64(j.BatchSize))
 	buf = binary.AppendVarint(buf, int64(j.Shots))
 	buf = binary.AppendVarint(buf, int64(j.Width))
@@ -40,7 +41,7 @@ func AppendJob(buf []byte, j *Job) []byte {
 	buf = binary.AppendVarint(buf, j.SubmitTime.UnixNano())
 	buf = binary.AppendVarint(buf, j.StartTime.UnixNano())
 	buf = binary.AppendVarint(buf, j.EndTime.UnixNano())
-	buf = appendString(buf, string(j.Status))
+	buf = AppendString(buf, string(j.Status))
 	buf = binary.AppendVarint(buf, int64(j.CompileEpoch))
 	buf = binary.AppendVarint(buf, int64(j.ExecEpoch))
 	return buf
@@ -50,69 +51,89 @@ func AppendJob(buf []byte, j *Job) []byte {
 // panics: malformed input (truncation, bad lengths) is an error, a
 // second line of defense behind the journal's frame checksums.
 func DecodeJob(b []byte) (*Job, error) {
-	d := &jobDecoder{b: b}
-	if v := d.byte(); v != jobWireVersion {
-		if d.err == nil {
-			d.err = fmt.Errorf("trace: job record version %d, want %d", v, jobWireVersion)
-		}
-		return nil, d.err
-	}
+	d := NewDecoder("job", jobWireVersion, b)
 	j := &Job{}
-	j.ID = d.varint()
-	j.User = d.string()
-	j.Machine = d.string()
-	j.MachineQubits = d.int()
-	j.Public = d.bool()
-	j.CircuitName = d.string()
-	j.BatchSize = d.int()
-	j.Shots = d.int()
-	j.Width = d.int()
-	j.TotalDepth = d.int()
-	j.TotalGateOps = d.int()
-	j.CXTotal = d.int()
-	j.MemSlots = d.int()
-	j.SubmitTime = d.time()
-	j.StartTime = d.time()
-	j.EndTime = d.time()
-	j.Status = Status(d.string())
-	j.CompileEpoch = d.int()
-	j.ExecEpoch = d.int()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != d.off {
-		return nil, fmt.Errorf("trace: job record has %d trailing bytes", len(d.b)-d.off)
+	j.ID = d.Varint()
+	j.User = d.Str()
+	j.Machine = d.Str()
+	j.MachineQubits = d.Int()
+	j.Public = d.Bool()
+	j.CircuitName = d.Str()
+	j.BatchSize = d.Int()
+	j.Shots = d.Int()
+	j.Width = d.Int()
+	j.TotalDepth = d.Int()
+	j.TotalGateOps = d.Int()
+	j.CXTotal = d.Int()
+	j.MemSlots = d.Int()
+	j.SubmitTime = d.Time()
+	j.StartTime = d.Time()
+	j.EndTime = d.Time()
+	j.Status = Status(d.Str())
+	j.CompileEpoch = d.Int()
+	j.ExecEpoch = d.Int()
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return j, nil
 }
 
-func appendString(buf []byte, s string) []byte {
+// AppendString appends s as a uvarint length followed by its bytes.
+func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-func appendBool(buf []byte, v bool) []byte {
+// AppendBool appends v as one byte, 1 or 0.
+func AppendBool(buf []byte, v bool) []byte {
 	if v {
 		return append(buf, 1)
 	}
 	return append(buf, 0)
 }
 
-// jobDecoder reads the fixed field sequence with a sticky error, so
-// the decode body stays a flat field list.
-type jobDecoder struct {
-	b   []byte
-	off int
-	err error
+// AppendFloat64 appends v's IEEE-754 bits as 8 little-endian bytes.
+func AppendFloat64(buf []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
-func (d *jobDecoder) fail(msg string) {
+// Decoder reads the fixed field sequence of one binary record (the
+// Append* layout above) with a sticky error, so a decode body stays a
+// flat field list. After the first failure every read returns a zero
+// value; Finish reports the failure, naming the record kind.
+type Decoder struct {
+	kind string
+	b    []byte
+	off  int
+	err  error
+}
+
+// NewDecoder starts decoding a kind record ("job", "submit") from b,
+// whose first byte must be the record's wire version.
+func NewDecoder(kind string, version byte, b []byte) *Decoder {
+	d := &Decoder{kind: kind, b: b}
+	if v := d.byte(); d.err == nil && v != version {
+		d.err = fmt.Errorf("trace: %s record version %d, want %d", kind, v, version)
+	}
+	return d
+}
+
+// Finish returns the first decode error, or an error if bytes remain
+// after the last field.
+func (d *Decoder) Finish() error {
+	if d.err == nil && d.off != len(d.b) {
+		return fmt.Errorf("trace: %s record has %d trailing bytes", d.kind, len(d.b)-d.off)
+	}
+	return d.err
+}
+
+func (d *Decoder) fail(msg string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("trace: truncated job record: %s at offset %d", msg, d.off)
+		d.err = fmt.Errorf("trace: truncated %s record: %s at offset %d", d.kind, msg, d.off)
 	}
 }
 
-func (d *jobDecoder) byte() byte {
+func (d *Decoder) byte() byte {
 	if d.err != nil {
 		return 0
 	}
@@ -125,7 +146,8 @@ func (d *jobDecoder) byte() byte {
 	return v
 }
 
-func (d *jobDecoder) varint() int64 {
+// Varint reads a signed varint.
+func (d *Decoder) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
@@ -138,7 +160,7 @@ func (d *jobDecoder) varint() int64 {
 	return v
 }
 
-func (d *jobDecoder) uvarint() uint64 {
+func (d *Decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -151,11 +173,15 @@ func (d *jobDecoder) uvarint() uint64 {
 	return v
 }
 
-func (d *jobDecoder) int() int { return int(d.varint()) }
+// Int reads a signed varint as an int.
+func (d *Decoder) Int() int { return int(d.Varint()) }
 
-func (d *jobDecoder) bool() bool { return d.byte() != 0 }
+// Bool reads one byte; any nonzero value is true.
+func (d *Decoder) Bool() bool { return d.byte() != 0 }
 
-func (d *jobDecoder) string() string {
+// Str reads an AppendString field (not named String, so a Decoder
+// is no fmt.Stringer that would consume input when printed).
+func (d *Decoder) Str() string {
 	n := d.uvarint()
 	if d.err != nil {
 		return ""
@@ -169,6 +195,21 @@ func (d *jobDecoder) string() string {
 	return s
 }
 
-func (d *jobDecoder) time() time.Time {
-	return time.Unix(0, d.varint()).UTC()
+// Time reads a UTC instant stored as signed varint Unix nanoseconds.
+func (d *Decoder) Time() time.Time {
+	return time.Unix(0, d.Varint()).UTC()
+}
+
+// Float64 reads an AppendFloat64 field.
+func (d *Decoder) Float64() float64 {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.b)-d.off < 8 {
+		d.fail("float64")
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
+	d.off += 8
+	return v
 }

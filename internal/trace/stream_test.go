@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -108,18 +109,18 @@ func TestSnapshotChecksumRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	v, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), &out)
-	if err != nil {
+	if err := ReadSnapshot(bytes.NewReader(buf.Bytes()), 2, &out); err != nil {
 		t.Fatal(err)
 	}
-	if v != 2 || !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: version %d payload %+v", v, out)
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip: payload %+v", out)
 	}
 }
 
 // TestSnapshotBitFlipRejected flips one bit at every byte position of
-// a checksummed snapshot: every corruption must surface as a clear
-// error (never a panic, never a silent wrong decode).
+// a snapshot: every corruption — the version byte included — must
+// surface as a clear error (never a panic, never a silent wrong
+// decode).
 func TestSnapshotBitFlipRejected(t *testing.T) {
 	type payload struct {
 		Name  string
@@ -135,37 +136,40 @@ func TestSnapshotBitFlipRejected(t *testing.T) {
 		corrupt := bytes.Clone(data)
 		corrupt[pos] ^= 0x04
 		var out payload
-		v, err := ReadSnapshot(bytes.NewReader(corrupt), &out)
-		if err == nil && v == 2 && reflect.DeepEqual(in, out) {
-			// Flipping the version byte alone changes the envelope,
-			// not the payload; the caller's version check owns that.
-			if pos != len(snapshotMagic) {
-				t.Fatalf("bit flip at byte %d went undetected", pos)
-			}
+		if err := ReadSnapshot(bytes.NewReader(corrupt), 2, &out); err == nil {
+			t.Fatalf("bit flip at byte %d went undetected", pos)
 		}
 	}
 	// Torn footer: a file cut inside the checksum is corrupt, not
 	// silently short.
 	var out payload
-	if _, err := ReadSnapshot(bytes.NewReader(data[:len(data)-2]), &out); err == nil {
+	if err := ReadSnapshot(bytes.NewReader(data[:len(data)-2]), 2, &out); err == nil {
 		t.Fatal("torn checksum footer went undetected")
 	}
 }
 
-// TestSnapshotV1StillReadable pins backward compatibility: version-1
-// envelopes (pre-checksum) decode as before.
-func TestSnapshotV1StillReadable(t *testing.T) {
+// TestSnapshotOtherVersionRejected: a reader accepts exactly the
+// version it names. A version-1 envelope (the pre-checksum framing: no
+// footer) and a newer one are both errors, never a silent decode.
+func TestSnapshotOtherVersionRejected(t *testing.T) {
 	type payload struct{ Count int }
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, 1, payload{Count: 7}); err != nil {
+	var gobBody bytes.Buffer
+	if err := gob.NewEncoder(&gobBody).Encode(payload{Count: 7}); err != nil {
 		t.Fatal(err)
 	}
+	v1 := append([]byte(snapshotMagic+"\x01"), gobBody.Bytes()...)
 	var out payload
-	v, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), &out)
-	if err != nil {
+	if err := ReadSnapshot(bytes.NewReader(v1), 2, &out); err == nil {
+		t.Fatal("version-1 snapshot read by a version-2 reader")
+	}
+	var v3 bytes.Buffer
+	if err := WriteSnapshot(&v3, 3, payload{Count: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if v != 1 || out.Count != 7 {
-		t.Fatalf("v1 decode: version %d payload %+v", v, out)
+	if err := ReadSnapshot(bytes.NewReader(v3.Bytes()), 2, &out); err == nil {
+		t.Fatal("version-3 snapshot read by a version-2 reader")
+	}
+	if out.Count != 0 {
+		t.Fatalf("rejected snapshots leaked payload %+v", out)
 	}
 }
