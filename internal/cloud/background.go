@@ -90,9 +90,18 @@ func (b *BackgroundModel) targetUtil(m *backend.Machine) float64 {
 
 // diurnalFactor modulates arrival rate over the day and week: working
 // hours burst, nights and weekends drain. Mean over a week is ~1.
+//
+// secIntoSim lies in [0, max time.Duration seconds], about 9.2e9, far
+// below 2^52. Over that domain the hour and day buckets come exactly
+// from int64 truncation: the quotients t/3600 and t/86400 are plain
+// float divisions, every threshold is an integer, and
+// floor(math.Mod(h, 24)) == int64(h) % 24 there, so each comparison
+// takes the same branch the math.Mod form did.
+//
+//qcloud:noalloc
 func diurnalFactor(secIntoSim float64) float64 {
-	hourOfDay := math.Mod(secIntoSim/3600, 24)
-	dayOfWeek := int(math.Mod(secIntoSim/86400, 7))
+	hourOfDay := float64(int64(secIntoSim/3600) % 24)
+	dayOfWeek := int(int64(secIntoSim/86400) % 7)
 	f := 0.45
 	if hourOfDay >= 13 && hourOfDay < 23 {
 		f = 1.9 // global working-hours burst
@@ -117,8 +126,12 @@ type backgroundStream struct {
 	// online date to the end of the study), so demand growth does not
 	// depend on the simulated window.
 	rampStartSec, rampEndSec float64
-	meanExec                 float64
-	peakRate                 float64 // arrivals/sec at demand multiplier 1, diurnal 1
+	// rampSpan and rampFraction are the ramp's clamped divisors,
+	// max(rampEndSec-rampStartSec, 1) and max(RampFraction, 1e-9),
+	// fixed when the stream is built.
+	rampSpan, rampFraction float64
+	meanExec               float64
+	peakRate               float64 // arrivals/sec at demand multiplier 1, diurnal 1
 	// surges are episodes of elevated demand (conference deadlines,
 	// course assignments): [start, end, factor] triples. They produce
 	// the day-plus queuing tail of Fig 3.
@@ -133,6 +146,8 @@ func newBackgroundStream(model *BackgroundModel, m *backend.Machine, r *rand.Ran
 		model: model, machine: m, r: r,
 		startSec: startSec, endSec: endSec,
 		rampStartSec: rampStartSec, rampEndSec: rampEndSec,
+		rampSpan:     math.Max(rampEndSec-rampStartSec, 1),
+		rampFraction: math.Max(model.RampFraction, 1e-9),
 	}
 	bs.meanExec = model.MeanExecSeconds(m)
 	bs.peakRate = model.targetUtil(m) / bs.meanExec
@@ -153,6 +168,8 @@ func newBackgroundStream(model *BackgroundModel, m *backend.Machine, r *rand.Ran
 
 // surgeFactor returns the demand multiplier at time t. Queries arrive
 // in nondecreasing time order, so a moving index keeps this O(1).
+//
+//qcloud:noalloc
 func (bs *backgroundStream) surgeFactor(t float64) float64 {
 	for bs.surgeIdx < len(bs.surges) && t >= bs.surges[bs.surgeIdx][1] {
 		bs.surgeIdx++
@@ -163,15 +180,28 @@ func (bs *backgroundStream) surgeFactor(t float64) float64 {
 	return 1
 }
 
-// rateAt returns the instantaneous arrival rate at sim-second t.
+// rateAt returns the instantaneous arrival rate at sim-second t. The
+// ramp clamps are written as comparisons; they return what math.Max
+// and math.Min would for every input, NaN and signed zero included.
+//
+//qcloud:noalloc
 func (bs *backgroundStream) rateAt(t float64) float64 {
-	frac := (t - bs.rampStartSec) / math.Max(bs.rampEndSec-bs.rampStartSec, 1)
-	ramp := bs.model.RampFloor + (1-bs.model.RampFloor)*math.Min(1, math.Max(frac, 0)/math.Max(bs.model.RampFraction, 1e-9))
+	frac := (t - bs.rampStartSec) / bs.rampSpan
+	if frac <= 0 {
+		frac = 0
+	}
+	x := frac / bs.rampFraction
+	if x > 1 {
+		x = 1
+	}
+	ramp := bs.model.RampFloor + (1-bs.model.RampFloor)*x
 	return bs.peakRate * ramp * diurnalFactor(t) * bs.surgeFactor(t)
 }
 
 // advance samples the next arrival time by thinning against the peak
 // possible rate.
+//
+//qcloud:noalloc
 func (bs *backgroundStream) advance() {
 	const maxFactor = 1.9 * 1.9 // max diurnal factor x max surge factor
 	lambdaMax := bs.peakRate * maxFactor

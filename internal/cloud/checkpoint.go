@@ -230,13 +230,13 @@ func (ms *machineSim) checkpoint() MachineCheckpoint {
 	mc.WaitRatios = append([]float64(nil), ms.waitRatios...)
 
 	var users []string
-	for u := range ms.usage {
+	for u := range ms.accts {
 		users = append(users, u)
 	}
 	sort.Strings(users)
 	for _, u := range users {
 		mc.Usage = append(mc.Usage, UserUsageCheckpoint{
-			User: u, Usage: *ms.usage[u], LastDecay: ms.lastDecay[u],
+			User: u, Usage: ms.accts[u].usage, LastDecay: ms.accts[u].lastDecay,
 		})
 	}
 	var spenders []string
@@ -324,13 +324,11 @@ func (ms *machineSim) restore(mc *MachineCheckpoint) error {
 		ms.handles[&sp] = &JobHandle{spec: &sp, machine: ms.m.Name, sess: ms.sess}
 	}
 	ms.specIdx = mc.SpecIdx
+	ms.headIdx = -1
 
-	ms.usage = make(map[string]*float64, len(mc.Usage))
-	ms.lastDecay = make(map[string]float64, len(mc.Usage))
+	ms.accts = make(map[string]*userAcct, len(mc.Usage))
 	for _, u := range mc.Usage {
-		v := u.Usage
-		ms.usage[u.User] = &v
-		ms.lastDecay[u.User] = u.LastDecay
+		ms.accts[u.User] = &userAcct{usage: u.Usage, lastDecay: u.LastDecay}
 	}
 
 	ms.queue = make(jobHeap, 0, len(mc.Queue))
@@ -346,9 +344,9 @@ func (ms *machineSim) restore(mc *MachineCheckpoint) error {
 			}
 			q.spec = ms.specs[cj.SpecIdx]
 		}
-		q.userUsage = ms.usage[cj.User]
-		if q.userUsage == nil {
-			return fmt.Errorf("cloud: restore %s: queue entry for %q has no usage accumulator", ms.m.Name, cj.User)
+		q.acct = ms.accts[cj.User]
+		if q.acct == nil {
+			return fmt.Errorf("cloud: restore %s: queue entry for %q has no usage account", ms.m.Name, cj.User)
 		}
 		ms.queue = append(ms.queue, q)
 	}

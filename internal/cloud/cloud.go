@@ -203,15 +203,15 @@ func Simulate(cfg Config, specs []*JobSpec) (*trace.Trace, error) {
 
 // queuedJob is a job waiting in a machine queue (study or background).
 type queuedJob struct {
-	spec      *JobSpec // nil for background jobs
-	submit    float64  // seconds since sim start
-	execSec   float64
-	patience  float64 // 0 = infinite
-	priority  float64 // fair-share score: lower runs first
-	seq       int64   // tiebreaker
-	userUsage *float64
+	spec     *JobSpec // nil for background jobs
+	submit   float64  // seconds since sim start
+	execSec  float64
+	patience float64 // 0 = infinite
+	priority float64 // fair-share score: lower runs first
+	seq      int64   // tiebreaker
+	acct     *userAcct
 	// user is the fair-share key (kept by name so retries and
-	// checkpoints can re-link the usage accumulator).
+	// checkpoints can re-link the account).
 	user string
 	// id identifies the job across retries: the seq of its first
 	// enqueue, stable while seq changes on every requeue.
@@ -222,6 +222,12 @@ type queuedJob struct {
 	// pendingAtSubmit is the queue length observed at enqueue time,
 	// kept for wait-prediction calibration.
 	pendingAtSubmit int
+}
+
+// userAcct is one user's fair-share account on a machine: usage in
+// machine-seconds, decayed lazily from lastDecay (sim seconds).
+type userAcct struct {
+	usage, lastDecay float64
 }
 
 // jobHeap is a min-heap on (priority, seq).

@@ -112,19 +112,27 @@ type machineSim struct {
 	retries    []pendingRetry
 	retrySpent map[string]int
 
-	// Fair-share usage accounting, exponentially decayed.
-	usage     map[string]*float64
-	lastDecay map[string]float64
+	// Fair-share usage accounting, exponentially decayed: one account
+	// per user, shared by pointer with that user's queued jobs.
+	accts map[string]*userAcct
 
 	queue      jobHeap
 	seq        int64
 	waitRatios []float64
+	// free holds popped queue records for reuse; nothing references a
+	// record once startNext returns.
+	free []*queuedJob
 
 	// specs holds not-yet-admitted study submissions sorted by
 	// SubmitTime (ties keep submission order); specIdx is the admitted
 	// prefix.
 	specs   []*JobSpec
 	specIdx int
+	// headIdx caches nextSpecTime: headSec is the admission instant of
+	// specs[headIdx]. Moving specIdx misses the cache by itself;
+	// insertSpec, cancel and restore reset headIdx to -1.
+	headIdx int
+	headSec float64
 
 	sampleEvery float64
 	nextSample  float64
@@ -167,8 +175,8 @@ func newMachineSim(cfg Config, m *backend.Machine, sess *Session) *machineSim {
 		rsrc:         src,
 		mstats:       &trace.MachineStats{Name: m.Name, Qubits: m.NumQubits(), Public: m.Public},
 		simStart:     cfg.Start,
-		usage:        make(map[string]*float64),
-		lastDecay:    make(map[string]float64),
+		accts:        make(map[string]*userAcct),
+		headIdx:      -1,
 		handles:      make(map[*JobSpec]*JobHandle),
 		cancelledAt:  make(map[*JobSpec]float64),
 		cancelReason: make(map[*JobSpec]CancelReason),
@@ -257,6 +265,7 @@ func (ms *machineSim) insertSpec(spec *JobSpec) *JobHandle {
 	ms.specs = append(ms.specs, nil)
 	copy(ms.specs[i+1:], ms.specs[i:])
 	ms.specs[i] = spec
+	ms.headIdx = -1
 	h := &JobHandle{spec: spec, machine: ms.m.Name, sess: ms.sess}
 	ms.handles[spec] = h
 	return h
@@ -298,6 +307,7 @@ func (ms *machineSim) cancel(spec *JobSpec, atSec float64, reason CancelReason) 
 			// Not yet admitted: drop it from the pending stream and
 			// record the cancellation immediately.
 			ms.specs = append(ms.specs[:i], ms.specs[i+1:]...)
+			ms.headIdx = -1
 			at := ms.toTime(atSec)
 			if at.Before(spec.SubmitTime) {
 				at = spec.SubmitTime
@@ -314,32 +324,41 @@ func (ms *machineSim) cancel(spec *JobSpec, atSec float64, reason CancelReason) 
 	return nil
 }
 
-// chargedUsage returns the user's decayed fair-share usage accumulator.
-func (ms *machineSim) chargedUsage(user string, now float64) *float64 {
-	u, ok := ms.usage[user]
-	if !ok {
-		v := 0.0
-		u = &v
-		ms.usage[user] = u
-		ms.lastDecay[user] = now
-	} else {
-		dt := now - ms.lastDecay[user]
-		if dt > 0 {
-			*u *= decayFactor(dt)
-			ms.lastDecay[user] = now
-		}
+// chargedAcct returns the user's fair-share account with its usage
+// decayed to now.
+func (ms *machineSim) chargedAcct(user string, now float64) *userAcct {
+	a := ms.accts[user]
+	if a == nil {
+		a = &userAcct{lastDecay: now}
+		ms.accts[user] = a
+	} else if dt := now - a.lastDecay; dt > 0 {
+		a.usage *= decayFactor(dt)
+		a.lastDecay = now
 	}
-	return u
+	return a
+}
+
+// newQueued returns a queue record for reuse from the free list, or a
+// fresh one; the caller overwrites every field.
+func (ms *machineSim) newQueued() *queuedJob {
+	if n := len(ms.free); n > 0 {
+		q := ms.free[n-1]
+		ms.free = ms.free[:n-1]
+		return q
+	}
+	return new(queuedJob)
 }
 
 func (ms *machineSim) enqueue(spec *JobSpec, submit, execSec, patience float64, user string) {
-	u := ms.chargedUsage(user, submit)
+	a := ms.chargedAcct(user, submit)
 	ms.seq++
-	ms.push(&queuedJob{
+	q := ms.newQueued()
+	*q = queuedJob{
 		spec: spec, submit: submit, execSec: execSec, patience: patience,
-		priority: submit + fairSharePenalty*(*u), seq: ms.seq, userUsage: u,
+		priority: submit + fairSharePenalty*a.usage, seq: ms.seq, acct: a,
 		user: user, id: ms.seq, pendingAtSubmit: len(ms.queue),
-	})
+	}
+	ms.push(q)
 }
 
 // requeue re-enters a transiently-failed job after its backoff: same
@@ -348,11 +367,12 @@ func (ms *machineSim) enqueue(spec *JobSpec, submit, execSec, patience float64, 
 // through. Emits requeue then enqueue, keeping retry ≡ requeue and
 // enqueue ≡ start+cancel conservation.
 func (ms *machineSim) requeue(rt pendingRetry) {
-	u := ms.chargedUsage(rt.user, rt.at)
+	a := ms.chargedAcct(rt.user, rt.at)
 	ms.seq++
-	q := &queuedJob{
+	q := ms.newQueued()
+	*q = queuedJob{
 		spec: rt.spec, submit: rt.at, execSec: rt.execSec, patience: rt.patience,
-		priority: rt.at + fairSharePenalty*(*u), seq: ms.seq, userUsage: u,
+		priority: rt.at + fairSharePenalty*a.usage, seq: ms.seq, acct: a,
 		user: rt.user, id: rt.id, attempt: rt.attempt,
 		pendingAtSubmit: len(ms.queue),
 	}
@@ -407,12 +427,16 @@ func (ms *machineSim) nextSpecTime() (float64, bool) {
 	if ms.specIdx >= len(ms.specs) {
 		return 0, false
 	}
-	s := ms.specs[ms.specIdx]
-	if s.SubmitTime.Before(ms.online) {
-		// Submitted before machine online: queue at online time.
-		return ms.toSec(ms.online), true
+	if ms.headIdx != ms.specIdx {
+		s := ms.specs[ms.specIdx]
+		at := s.SubmitTime
+		if at.Before(ms.online) {
+			// Submitted before machine online: queue at online time.
+			at = ms.online
+		}
+		ms.headIdx, ms.headSec = ms.specIdx, ms.toSec(at)
 	}
-	return ms.toSec(s.SubmitTime), true
+	return ms.headSec, true
 }
 
 // admitArrivals pulls every arrival (retry + study + background) with
@@ -444,7 +468,7 @@ func (ms *machineSim) admitArrivals(horizon float64, strict bool) {
 		case bgOK && (!spOK || bgT <= spT):
 			ms.bg.next()
 			execSec := ms.bg.sampleExecSeconds(ms.r)
-			user := fmt.Sprintf("bg-%d", ms.r.Intn(ms.cfg.Background.Users))
+			user := ms.sess.bgUsers[ms.r.Intn(len(ms.sess.bgUsers))]
 			ms.enqueue(nil, bgT, execSec, ms.bg.samplePatience(ms.r), user)
 			ms.mstats.BackgroundJobs++
 		case spOK:
@@ -594,6 +618,7 @@ func (ms *machineSim) recordSpecCancelled(s *JobSpec, at time.Time) {
 // in-flight step whose admissions run up to the completion horizon.
 func (ms *machineSim) startNext() {
 	q := ms.queue.pop()
+	defer ms.release(q)
 	if q.spec != nil {
 		if cancelAt, ok := ms.cancelledAt[q.spec]; ok {
 			ms.recordStudy(q, cancelAt, cancelAt, trace.StatusCancelled)
@@ -689,7 +714,7 @@ func (ms *machineSim) startNext() {
 		})
 	}
 	// Charge fair-share usage at completion.
-	*q.userUsage += execSec
+	q.acct.usage += execSec
 	ms.busyUntil = end
 	ms.inStep = true
 	ms.stepEndsAt = end
@@ -751,11 +776,18 @@ func (ms *machineSim) startTransientFail(q *queuedJob, start float64) {
 			})
 		}
 	}
-	*q.userUsage += burnt
+	q.acct.usage += burnt
 	ms.busyUntil = failT
 	ms.inStep = true
 	ms.stepEndsAt = failT
 	ms.admittedDuringStep = 0
+}
+
+// release returns a served record to the free list, dropping its
+// references so a recycled record pins no spec or account.
+func (ms *machineSim) release(q *queuedJob) {
+	*q = queuedJob{}
+	ms.free = append(ms.free, q)
 }
 
 func (ms *machineSim) setFrontier(f float64, inclusive bool) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,6 +181,13 @@ type Session struct {
 	cfg    Config
 	sims   []*machineSim
 	byName map[string]*machineSim
+	// order is the fleet fan-out's dispatch order: machine indices by
+	// expected background arrivals, longest first. Result slots stay
+	// indexed by fleet position.
+	order []int
+	// bgUsers interns the background user names "bg-0".."bg-(Users-1)"
+	// shared by every machine's arrival stream.
+	bgUsers []string
 
 	obsMu     sync.Mutex
 	observers []*observer
@@ -197,6 +205,12 @@ type Session struct {
 func Open(cfg Config) (*Session, error) {
 	c := cfg.withDefaults()
 	s := &Session{cfg: c, byName: make(map[string]*machineSim)}
+	if n := c.Background.Users; n > 0 {
+		s.bgUsers = make([]string, n)
+		for i := range s.bgUsers {
+			s.bgUsers[i] = "bg-" + strconv.Itoa(i)
+		}
+	}
 	s.sims = make([]*machineSim, len(c.Machines))
 	par.ForEach(len(c.Machines), c.Workers, func(i int) {
 		s.sims[i] = newMachineSim(c, c.Machines[i], s)
@@ -205,6 +219,7 @@ func Open(cfg Config) (*Session, error) {
 	for _, ms := range s.sims {
 		s.byName[ms.m.Name] = ms
 	}
+	s.order = dispatchOrder(s.sims)
 	if c.Journal != nil {
 		if c.Journal.Dir == "" {
 			return nil, errors.New("cloud: Config.Journal needs a Dir")
@@ -215,6 +230,33 @@ func Open(cfg Config) (*Session, error) {
 		}
 	}
 	return s, nil
+}
+
+// dispatchOrder sorts machine indices by expected background arrivals
+// over their online window (peak rate x window length), descending,
+// ties by fleet index. The machine with the most arrivals dominates a
+// fleet advance, so handing it out first keeps it from starting last
+// on an otherwise idle pool. The order depends only on the machines
+// and the window.
+func dispatchOrder(sims []*machineSim) []int {
+	load := make([]float64, len(sims))
+	order := make([]int, len(sims))
+	for i, ms := range sims {
+		order[i] = i
+		if bg := ms.bg; bg != nil {
+			load[i] = bg.peakRate * (bg.endSec - bg.startSec)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return load[order[a]] > load[order[b]] })
+	return order
+}
+
+// forEachMachine runs fn on every machine under the worker budget,
+// handing machines out in dispatch order.
+func (s *Session) forEachMachine(fn func(ms *machineSim)) {
+	par.ForEach(len(s.order), s.cfg.Workers, func(k int) {
+		fn(s.sims[s.order[k]])
+	})
 }
 
 // Machines returns the fleet in machine-index order — the index a
@@ -333,14 +375,13 @@ func (s *Session) CancelWithReason(h *JobHandle, reason CancelReason) error {
 // AdvanceTo moves every machine's frontier to t, processing all
 // arrivals, starts, completions, downtimes and queue samples strictly
 // before it. Machines advance in parallel under the config's worker
-// budget; each is an independent event loop, so the result does not
-// depend on the worker count.
+// budget, longest first; each is an independent event loop, so the
+// result depends on neither the worker count nor the dispatch order.
 func (s *Session) AdvanceTo(t time.Time) {
 	if s.closed {
 		return
 	}
-	par.ForEach(len(s.sims), s.cfg.Workers, func(i int) {
-		ms := s.sims[i]
+	s.forEachMachine(func(ms *machineSim) {
 		ms.advanceTo(ms.toSec(t))
 	})
 	if s.jr != nil {
@@ -402,9 +443,7 @@ func (s *Session) Run() (*trace.Trace, error) {
 		}
 		return ReadJournalTrace(cfg)
 	}
-	par.ForEach(len(s.sims), s.cfg.Workers, func(i int) {
-		s.sims[i].finalize()
-	})
+	s.forEachMachine((*machineSim).finalize)
 	// Job IDs are assigned in (machine order, record order) — the
 	// exact sequence the serial batch loop produced — keeping traces
 	// bit-identical across worker counts.

@@ -90,15 +90,55 @@ func TestSimulateGoldenTraces(t *testing.T) {
 	}
 }
 
+// fleetSpecs spreads a spec stream over every machine of the default
+// fleet that is live throughout [start, end).
+func fleetSpecs(start, end time.Time) []*cloud.JobSpec {
+	var online []string
+	for _, m := range backend.Fleet() {
+		if m.Online.Before(start) && (m.Retired.IsZero() || m.Retired.After(end)) {
+			online = append(online, m.Name)
+		}
+	}
+	var specs []*cloud.JobSpec
+	for i := 0; i < 150; i++ {
+		specs = append(specs, &cloud.JobSpec{
+			SubmitTime: start.Add(time.Duration(i)*3*time.Hour + time.Duration(i*i%53)*time.Minute),
+			User:       fmt.Sprintf("u-%d", i%9),
+			Machine:    online[i%len(online)],
+			BatchSize:  1 + i%60, Shots: 1024 * (1 + i%4),
+			CircuitName: "qft", Width: 3 + i%5,
+			TotalDepth: 40 + i, TotalGateOps: 150 + i, CXTotal: 30 + i, MemSlots: 5,
+		})
+	}
+	return specs
+}
+
 // TestSessionTraceBitIdentical is the determinism property test: the
 // Session API — serial, on a 4-worker pool, and with jobs submitted
 // mid-run in arrival order while the session advances between
 // submissions — produces byte-identical trace JSON to the batch
-// Simulate call.
+// Simulate call. It runs on a three-machine sub-fleet and on three
+// weeks of the full default fleet, whose longest machine (the qasm
+// simulator) is last in fleet order but dispatched first.
 func TestSessionTraceBitIdentical(t *testing.T) {
-	cfg := cloud.Config{Seed: 7, Start: sessWindow.start, End: sessWindow.end, Machines: sessMachines()}
+	fleetEnd := sessWindow.start.AddDate(0, 0, 21)
+	configs := []struct {
+		name  string
+		cfg   cloud.Config
+		specs func() []*cloud.JobSpec
+	}{
+		{"sub-fleet", cloud.Config{Seed: 7, Start: sessWindow.start, End: sessWindow.end, Machines: sessMachines()}, sessSpecs},
+		{"full-fleet", cloud.Config{Seed: 23, Start: sessWindow.start, End: fleetEnd},
+			func() []*cloud.JobSpec { return fleetSpecs(sessWindow.start, fleetEnd) }},
+	}
+	for _, fc := range configs {
+		t.Run(fc.name, func(t *testing.T) { checkSessionTraceBitIdentical(t, fc.cfg, fc.specs) })
+	}
+}
+
+func checkSessionTraceBitIdentical(t *testing.T, cfg cloud.Config, genSpecs func() []*cloud.JobSpec) {
 	want := func() []byte {
-		tr, err := cloud.Simulate(cfg, sessSpecs())
+		tr, err := cloud.Simulate(cfg, genSpecs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +161,7 @@ func TestSessionTraceBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs := sessSpecs()
+		specs := genSpecs()
 		if v.midRun {
 			// Replay the same arrival order online: a third of the jobs
 			// are known up-front, the rest arrive one by one with the
